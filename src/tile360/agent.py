@@ -226,9 +226,6 @@ class ValueNet(TileNet):
     def __init__(self, encoder: StateEncoder, **kwargs) -> None:
         super().__init__(encoder, out_dim=1, **kwargs)
 
-    def value(self, state: TileDecisionState) -> float:
-        return float(self.forward_one(state)[0])
-
 
 def select_action(
     dist: Array, rng: np.random.Generator | None = None, greedy: bool = False

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import StreamEnv, harmonic_throughput
+from .environment import StreamEnv, download_time
 from .errors import InfeasibleError, ParameterError
 from .geometry import neighbor_map
 from .qoe import QoeWeights, SegmentDecision, spatial_variation, viewport_quality
@@ -142,17 +142,11 @@ def greedy_mckp(
     )
 
 
-def greedy_budget(state_history, prior_mbps: float, segment_duration: float) -> float:
-    """Byte budget for one segment: harmonic-mean throughput times duration."""
-    return harmonic_throughput(state_history, prior_mbps) * segment_duration
-
-
 def brute_force_oracle(
     env: StreamEnv,
     probs_sequence: Array,
     horizon: int | None = None,
     reset_seed: int | None = 0,
-    use_env_stepping: bool = False,
 ) -> tuple[list[Array], float]:
     """Exhaustively search all decision sequences through the environment.
 
@@ -162,11 +156,10 @@ def brute_force_oracle(
     levels ** (tiles * horizon) > 1e7 with a size estimate. The environment
     is reset with ``reset_seed`` and left at the end of the best playthrough.
 
-    The default path precomputes each segment's per-combination byte volume
-    and quality terms and walks the search tree on the small dynamic state
+    The search precomputes each segment's per-combination byte volume and
+    quality terms and walks the search tree on the small dynamic state
     (trace cursor, buffer, previous viewport quality); it is numerically
-    identical to stepping the environment (``use_env_stepping=True`` keeps
-    that slower reference path for cross-checking).
+    identical to stepping the environment through every branch.
     """
     manifest = env.manifest
     horizon = manifest.n_segments if horizon is None else min(horizon, manifest.n_segments)
@@ -180,14 +173,7 @@ def brute_force_oracle(
     ladder = manifest.tile_rates
     combos = [np.array(c) for c in np.ndindex(*([manifest.n_levels] * manifest.n_tiles))]
 
-    if use_env_stepping:
-        best_seq, best_value = _oracle_env_stepping(
-            env, probs_sequence, horizon, reset_seed, combos
-        )
-    else:
-        best_seq, best_value = _oracle_precomputed(
-            env, probs_sequence, horizon, reset_seed, combos
-        )
+    best_seq, best_value = _oracle_precomputed(env, probs_sequence, horizon, reset_seed, combos)
     # leave the environment at the end of the winning playthrough
     env.reset(seed=reset_seed)
     for depth, combo in enumerate(best_seq):
@@ -200,39 +186,8 @@ def brute_force_oracle(
     return best_seq, float(best_value)
 
 
-def _oracle_env_stepping(env, probs_sequence, horizon, reset_seed, combos):
-    """Reference search that replays every branch through env.step."""
-    ladder = env.manifest.tile_rates
-    env.reset(seed=reset_seed)
-    best_value = -np.inf
-    best_seq: list[Array] = []
-
-    def search(depth: int, acc: float, chosen: list[Array]) -> None:
-        nonlocal best_value, best_seq
-        if depth == horizon:
-            if acc > best_value:
-                best_value = acc
-                best_seq = [c.copy() for c in chosen]
-            return
-        snap = env.snapshot()
-        for combo in combos:
-            decision = SegmentDecision(
-                levels=combo, ladder=ladder, probs=probs_sequence[depth], segment_index=depth
-            )
-            result = env.step(decision, probs_sequence[depth])
-            chosen.append(combo)
-            search(depth + 1, acc + result.reward, chosen)
-            chosen.pop()
-            env.restore(snap)
-
-    search(0, 0.0, [])
-    return best_seq, best_value
-
-
 def _oracle_precomputed(env, probs_sequence, horizon, reset_seed, combos):
     """Search on precomputed per-combo terms; same arithmetic as env.step."""
-    from .environment import download_time
-
     manifest = env.manifest
     neighbors = neighbor_map(manifest.grid)
     ladder = manifest.tile_rates

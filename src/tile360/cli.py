@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +17,9 @@ import numpy as np
 from .agent import TrainConfig
 from .harness import (
     ExperimentConfig,
-    StreamWorld,
+    build_stream_world,
     emit_report,
     load_trajectory_dataset,
-    probs_schedule,
     replay,
     run_experiment,
     sample_tasks,
@@ -30,9 +28,7 @@ from .harness import (
     sweep_buffer_cap,
     sweep_decision_order,
     train_agent_on_world,
-    write_training_log,
 )
-from .environment import VideoManifest
 from .predictors import CrossUserAttentiveNet, CuanTrainConfig, train_attentive
 from .nn import save_checkpoint
 from .synth import TraceSpec, TrajectorySpec, synthesize_traces, synthesize_trajectories
@@ -45,7 +41,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig()
     overrides = {}
     for name in ("out_dir", "seed", "kind"):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
     return dataclasses.replace(cfg, **overrides)
@@ -95,38 +91,9 @@ def cmd_train_cuan(args) -> int:
     return 0
 
 
-def _stream_world_from_config(cfg: ExperimentConfig) -> StreamWorld:
-    from .harness import _load_or_make_traces, _load_or_make_videos
-
-    videos = _load_or_make_videos(cfg)
-    traces = _load_or_make_traces(cfg)
-    grid = cfg.grid()
-    manifests, schedules = [], []
-    for v, (vid, users) in enumerate(sorted(videos.items())):
-        manifests.append(
-            VideoManifest.synthetic(
-                grid,
-                cfg.n_segments,
-                segment_duration=cfg.segment_duration_s,
-                level_mbps=cfg.levels_mbps,
-                seed=cfg.seed + v,
-                video_id=vid,
-            )
-        )
-        actual = probs_schedule(users[0], grid, cfg.fov(), cfg.n_segments, cfg.segment_duration_s)
-        schedules.append((actual, actual))
-    return StreamWorld(
-        manifests=manifests,
-        traces=traces,
-        schedules=schedules,
-        weights=cfg.weights(),
-        buffer_cap_s=cfg.buffer_cap_s,
-    )
-
-
 def cmd_train_agent(args) -> int:
     cfg = _load_config(args)
-    world = _stream_world_from_config(cfg)
+    world = build_stream_world(cfg)
     train_cfg = TrainConfig(
         max_iterations=args.steps,
         workers=args.workers,
@@ -141,18 +108,8 @@ def cmd_train_agent(args) -> int:
     return 0
 
 
-def cmd_eval_predict(args) -> int:
-    cfg = _load_config(args)
-    cfg = dataclasses.replace(cfg, kind="predict")
-    results = run_experiment(cfg)
-    print(json.dumps(results, indent=2, sort_keys=True))
-    return 1 if results.get("error_count") else 0
-
-
-def cmd_eval_stream(args) -> int:
-    cfg = _load_config(args)
-    cfg = dataclasses.replace(cfg, kind="stream")
-    results = run_experiment(cfg)
+def cmd_eval(args) -> int:
+    results = run_experiment(_load_config(args))
     print(json.dumps(results, indent=2, sort_keys=True))
     return 1 if results.get("error_count") else 0
 
@@ -165,20 +122,17 @@ def cmd_replay(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    world = _stream_world_from_config(cfg)
+    world = build_stream_world(cfg)
     train_cfg = TrainConfig(max_iterations=args.steps, workers=args.workers, seed=cfg.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.what == "order":
         rows = sweep_decision_order(world, train_cfg)
         emit_report(out / "sweep_order.csv", ["order", "mean_qoe"], rows)
-    elif args.what == "buffer":
+    else:
         result = train_agent_on_world(world, train_cfg)
         rows = sweep_buffer_cap(world, result.policy)
         emit_report(out / "sweep_buffer.csv", ["buffer_cap_s", "mean_qoe"], rows)
-    else:
-        print(f"unknown sweep {args.what!r}", file=sys.stderr)
-        return 2
     for row in rows:
         print(row)
     return 0
@@ -232,13 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out-dir", default=None)
     g.add_argument("--config")
     g.add_argument("--seed", type=int, default=None)
-    g.set_defaults(func=cmd_eval_predict)
+    g.set_defaults(func=cmd_eval, kind="predict")
 
     g = sub.add_parser("eval-stream", help="streaming QoE experiment")
     g.add_argument("--out-dir", default=None)
     g.add_argument("--config")
     g.add_argument("--seed", type=int, default=None)
-    g.set_defaults(func=cmd_eval_stream)
+    g.set_defaults(func=cmd_eval, kind="stream")
 
     g = sub.add_parser("replay", help="re-run an experiment from its summary")
     g.add_argument("summary")

@@ -83,8 +83,9 @@ class NetworkTrace:
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "throughput_mbps", bw)
 
-    def _playback(self) -> tuple[list[float], list[float], list[float], float]:
-        """Cached (starts, durations, throughputs, loop length) as plain floats.
+    def _playback(self) -> tuple[list[float], list[float], list[float], float, bool]:
+        """Cached (starts, durations, throughputs, loop length) as plain floats,
+        plus whether any throughput is positive.
 
         The download integrator runs hundreds of thousands of times inside
         exhaustive searches, so this avoids rebuilding arrays per call.
@@ -99,7 +100,8 @@ class NetworkTrace:
             starts = [0.0]
             for d in durations[:-1]:
                 starts.append(starts[-1] + d)
-            cached = (starts, durations, list(map(float, self.throughput_mbps)), sum(durations))
+            bws = list(map(float, self.throughput_mbps))
+            cached = (starts, durations, bws, sum(durations), max(bws) > 0.0)
             self.__dict__["_playback_cache"] = cached
         return cached
 
@@ -107,11 +109,6 @@ class NetworkTrace:
     def loop_duration(self) -> float:
         """Length of one playback loop; the last sample holds for the mean gap."""
         return self._playback()[3]
-
-    def segment_throughputs(self) -> tuple[Array, Array]:
-        """(durations, throughputs) of the loop's constant pieces."""
-        _, durations, bws, _ = self._playback()
-        return np.array(durations), np.array(bws)
 
     def augmented(
         self, add_mbps: float = AUGMENT_ADD_MBPS, cap_mbps: float = AUGMENT_CAP_MBPS
@@ -155,8 +152,8 @@ def download_time(size_mbit: float, trace: NetworkTrace, cursor_s: float) -> tup
     """
     if size_mbit <= 0:
         raise ParameterError("download size must be positive")
-    starts, durations, bws, loop = trace._playback()
-    if max(bws) <= 0.0:
+    starts, durations, bws, loop, any_positive = trace._playback()
+    if not any_positive:
         raise ConfigurationError("trace has no positive-throughput interval")
     cursor = cursor_s % loop
     idx = bisect.bisect_right(starts, cursor) - 1

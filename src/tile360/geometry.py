@@ -261,16 +261,3 @@ def angular_errors(predicted: Viewpoint, actual: Viewpoint) -> tuple[float, floa
         wrap_longitude_distance(predicted.lon, actual.lon),
         abs(predicted.lat - actual.lat),
     )
-
-
-# ---------------------------------------------------------------------------
-# normalized coordinates used by the learned predictor
-# ---------------------------------------------------------------------------
-
-def normalize_angles(lon: Array | float, lat: Array | float) -> tuple[Array, Array]:
-    """Degrees -> zero-centered [-1, 1] pair (lon/180, lat/90)."""
-    return np.asarray(lon, dtype=np.float64) / 180.0, np.asarray(lat, dtype=np.float64) / 90.0
-
-
-def denormalize_angles(x: Array | float, y: Array | float) -> tuple[Array, Array]:
-    return np.asarray(x, dtype=np.float64) * 180.0, np.asarray(y, dtype=np.float64) * 90.0

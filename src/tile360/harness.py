@@ -9,6 +9,7 @@ from which it can be replayed byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -449,9 +450,6 @@ def _episode_stats(rewards, parts, env: StreamEnv) -> dict:
     }
 
 
-ABR_BASELINES = ("bb", "greedy")
-
-
 # ---------------------------------------------------------------------------
 # experiment configs
 # ---------------------------------------------------------------------------
@@ -577,164 +575,156 @@ def _train_attentive_for(cfg: ExperimentConfig, videos, rng) -> CrossUserAttenti
     return net
 
 
+def build_stream_world(cfg: ExperimentConfig) -> StreamWorld:
+    """The stream experiment's world: every video against every trace.
+
+    Each video gets a synthetic manifest and is watched by its first user;
+    the controllers see ``cfg.stream_predictor``'s schedule (predicted from
+    the next ``cross_users`` users) and are scored on the actual one.
+    """
+    if cfg.stream_predictor not in ("actual", *PREDICTOR_NAMES):
+        raise ConfigurationError(f"unknown stream_predictor {cfg.stream_predictor!r}")
+    videos = _load_or_make_videos(cfg)
+    traces = _load_or_make_traces(cfg)
+    grid, fov = cfg.grid(), cfg.fov()
+    bundle = None
+    if cfg.stream_predictor != "actual":
+        attentive = None
+        if cfg.stream_predictor == "attentive":
+            attentive = _train_attentive_for(cfg, videos, np.random.default_rng(cfg.seed + 1))
+        bundle = PredictorBundle(grid=grid, fov_deg=fov, knn_k=cfg.knn_k, attentive=attentive)
+    manifests, schedules = [], []
+    for v, (vid, users) in enumerate(sorted(videos.items())):
+        manifests.append(
+            VideoManifest.synthetic(
+                grid,
+                cfg.n_segments,
+                segment_duration=cfg.segment_duration_s,
+                level_mbps=cfg.levels_mbps,
+                seed=cfg.seed + v,
+                video_id=vid,
+            )
+        )
+        actual = probs_schedule(users[0], grid, fov, cfg.n_segments, cfg.segment_duration_s)
+        predicted = actual
+        if bundle is not None:
+            predicted = predicted_schedule(
+                users[0],
+                grid,
+                fov,
+                cfg.n_segments,
+                cfg.segment_duration_s,
+                cfg.stream_predictor,
+                bundle=bundle,
+                cross=users[1 : 1 + cfg.cross_users],
+            )
+        schedules.append((predicted, actual))
+    return StreamWorld(
+        manifests=manifests,
+        traces=traces,
+        schedules=schedules,
+        weights=cfg.weights(),
+        buffer_cap_s=cfg.buffer_cap_s,
+    )
+
+
+PREDICTION_COLUMNS = [
+    "task", "predictor", "horizon_steps", "longitude_error_deg", "latitude_error_deg", "hit_rate"
+]
+STREAMING_COLUMNS = [
+    "abr", "video", "trace", "mean_qoe", "q1", "q2", "q3", "q4", "rebuffer_s", "segments"
+]
+BREAKDOWN_COLUMNS = ["abr", "video", "trace", "segment_index", "q1", "q2", "q3", "q4", "total"]
+
+
+def _run_predict(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], list[dict]]:
+    rng = np.random.default_rng(cfg.seed)
+    videos = _load_or_make_videos(cfg)
+    cadence = cfg.trajectories.cadence_hz
+    history_len = max(2, int(round(cfg.history_s * cadence)))
+    horizons_steps = tuple(int(round(h * cadence)) for h in cfg.horizons_s)
+    attentive = None
+    if "attentive" in cfg.predictors:
+        attentive = _train_attentive_for(cfg, videos, np.random.default_rng(cfg.seed + 1))
+    bundle = PredictorBundle(
+        grid=cfg.grid(), fov_deg=cfg.fov(), knn_k=cfg.knn_k, attentive=attentive
+    )
+    tasks = sample_tasks(
+        videos, cfg.n_tasks, history_len, max(horizons_steps), cfg.cross_users, rng
+    )
+    error_rows: list[dict] = []
+    rows = evaluate_prediction(tasks, bundle, cfg.predictors, horizons_steps, error_rows)
+    emit_report(out / "prediction_metrics.csv", PREDICTION_COLUMNS, rows)
+    results = {}
+    for name in cfg.predictors:
+        sel = [r for r in rows if r["predictor"] == name]
+        results[name] = {
+            "mean_longitude_error_deg": float(np.mean([r["longitude_error_deg"] for r in sel])),
+            "mean_latitude_error_deg": float(np.mean([r["latitude_error_deg"] for r in sel])),
+            "mean_hit_rate": float(np.mean([r["hit_rate"] for r in sel])),
+        }
+    return results, ["prediction_metrics.csv"], error_rows
+
+
+def _load_policy(cfg: ExperimentConfig) -> PolicyNet:
+    if not cfg.agent_checkpoint:
+        raise ConfigurationError("abr 'agent' needs agent_checkpoint")
+    policy = PolicyNet.load(cfg.agent_checkpoint)
+    if policy.encoder.n_levels != len(cfg.levels_mbps):
+        raise ConfigurationError(
+            f"agent_checkpoint {cfg.agent_checkpoint} chooses among "
+            f"{policy.encoder.n_levels} levels, levels_mbps has {len(cfg.levels_mbps)}"
+        )
+    return policy
+
+
+def _stream_controllers(cfg: ExperimentConfig) -> dict:
+    """Episode runner per ABR name; checks ``cfg.abr`` and the agent checkpoint."""
+    controllers = {"bb": run_bb_episode, "greedy": run_greedy_episode, "agent": None}
+    unknown = [name for name in cfg.abr if name not in controllers]
+    if unknown:
+        raise ConfigurationError(f"unknown abr {unknown}; expected names from {list(controllers)}")
+    if "agent" in cfg.abr:
+        controllers["agent"] = functools.partial(run_agent_episode, policy=_load_policy(cfg))
+    return controllers
+
+
+def _run_stream(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], list[dict]]:
+    controllers = _stream_controllers(cfg)
+    world = build_stream_world(cfg)
+    pairs = [(v, t) for v in range(len(world.manifests)) for t in range(len(world.traces))]
+    rows, breakdown_rows, error_rows = [], [], []
+    for abr in cfg.abr:
+        for (v, t), episode in zip(pairs, world.all_episodes(reset_seed=cfg.seed)):
+            try:
+                stats = controllers[abr](episode)
+            except ConfigurationError:
+                raise
+            except Tile360Error as exc:
+                error_rows.append({"item": f"{abr}/video{v}/trace{t}", "error": str(exc)})
+                continue
+            for seg, p in enumerate(stats.pop("breakdowns")):
+                cells = (abr, v, t, seg, p.q1, p.q2, p.q3, p.q4, p.total)
+                breakdown_rows.append(dict(zip(BREAKDOWN_COLUMNS, cells)))
+            rows.append({"abr": abr, "video": v, "trace": t, **stats})
+    emit_report(out / "streaming_metrics.csv", STREAMING_COLUMNS, rows)
+    emit_report(out / "qoe_breakdown.csv", BREAKDOWN_COLUMNS, breakdown_rows)
+    results = {
+        abr: {"mean_qoe": float(np.mean([r["mean_qoe"] for r in rows if r["abr"] == abr]))}
+        for abr in cfg.abr
+    }
+    return results, ["streaming_metrics.csv", "qoe_breakdown.csv"], error_rows
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment and write CSV reports plus a replayable summary."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
-    outputs: list[str] = []
-    results: dict = {}
-
-    if cfg.kind == "predict":
-        videos = _load_or_make_videos(cfg)
-        cadence = cfg.trajectories.cadence_hz
-        history_len = max(2, int(round(cfg.history_s * cadence)))
-        horizons_steps = tuple(int(round(h * cadence)) for h in cfg.horizons_s)
-        horizon = max(horizons_steps)
-        attentive = None
-        if "attentive" in cfg.predictors:
-            attentive = _train_attentive_for(cfg, videos, np.random.default_rng(cfg.seed + 1))
-        bundle = PredictorBundle(
-            grid=cfg.grid(), fov_deg=cfg.fov(), knn_k=cfg.knn_k, attentive=attentive
+    runner = {"predict": _run_predict, "stream": _run_stream}.get(cfg.kind)
+    if runner is None:
+        raise ConfigurationError(
+            f"unknown experiment kind {cfg.kind!r}; expected 'predict' or 'stream'"
         )
-        tasks = sample_tasks(videos, cfg.n_tasks, history_len, horizon, cfg.cross_users, rng)
-        error_rows: list[dict] = []
-        rows = evaluate_prediction(
-            tasks, bundle, cfg.predictors, horizons_steps, error_rows=error_rows
-        )
-        columns = [
-            "task",
-            "predictor",
-            "horizon_steps",
-            "longitude_error_deg",
-            "latitude_error_deg",
-            "hit_rate",
-        ]
-        emit_report(out / "prediction_metrics.csv", columns, rows)
-        outputs.append("prediction_metrics.csv")
-        for name in cfg.predictors:
-            sel = [r for r in rows if r["predictor"] == name]
-            results[name] = {
-                "mean_longitude_error_deg": float(
-                    np.mean([r["longitude_error_deg"] for r in sel])
-                ),
-                "mean_latitude_error_deg": float(
-                    np.mean([r["latitude_error_deg"] for r in sel])
-                ),
-                "mean_hit_rate": float(np.mean([r["hit_rate"] for r in sel])),
-            }
-    elif cfg.kind == "stream":
-        videos = _load_or_make_videos(cfg)
-        traces = _load_or_make_traces(cfg)
-        grid = cfg.grid()
-        manifests = []
-        schedules = []
-        for v, (vid, users) in enumerate(sorted(videos.items())):
-            manifests.append(
-                VideoManifest.synthetic(
-                    grid,
-                    cfg.n_segments,
-                    segment_duration=cfg.segment_duration_s,
-                    level_mbps=cfg.levels_mbps,
-                    seed=cfg.seed + v,
-                    video_id=vid,
-                )
-            )
-            watcher = users[0]
-            actual = probs_schedule(
-                watcher, grid, cfg.fov(), cfg.n_segments, cfg.segment_duration_s
-            )
-            if cfg.stream_predictor == "actual":
-                predicted = actual
-            else:
-                bundle = PredictorBundle(grid=grid, fov_deg=cfg.fov(), knn_k=cfg.knn_k)
-                predicted = predicted_schedule(
-                    watcher,
-                    grid,
-                    cfg.fov(),
-                    cfg.n_segments,
-                    cfg.segment_duration_s,
-                    cfg.stream_predictor,
-                    bundle=bundle,
-                    cross=users[1 : 1 + cfg.cross_users],
-                )
-            schedules.append((predicted, actual))
-        world = StreamWorld(
-            manifests=manifests,
-            traces=traces,
-            schedules=schedules,
-            weights=cfg.weights(),
-            buffer_cap_s=cfg.buffer_cap_s,
-        )
-        rows = []
-        breakdown_rows = []
-        error_rows = []
-        for abr in cfg.abr:
-            policy = None
-            if abr == "agent":
-                if not cfg.agent_checkpoint:
-                    raise ConfigurationError("abr 'agent' needs agent_checkpoint")
-                policy = PolicyNet.load(cfg.agent_checkpoint)
-            for v in range(len(manifests)):
-                for t in range(len(traces)):
-                    episode = world.episode(v, t, reset_seed=cfg.seed + v * len(traces) + t)
-                    try:
-                        if abr == "bb":
-                            stats = run_bb_episode(episode)
-                        elif abr == "greedy":
-                            stats = run_greedy_episode(episode)
-                        elif abr == "agent":
-                            stats = run_agent_episode(episode)
-                        else:
-                            raise ConfigurationError(f"unknown abr {abr!r}")
-                    except (ConfigurationError, KeyboardInterrupt):
-                        raise
-                    except Tile360Error as exc:
-                        error_rows.append(
-                            {"item": f"{abr}/video{v}/trace{t}", "error": str(exc)}
-                        )
-                        continue
-                    for seg, part in enumerate(stats.pop("breakdowns")):
-                        breakdown_rows.append(
-                            {
-                                "abr": abr,
-                                "video": v,
-                                "trace": t,
-                                "segment_index": seg,
-                                "q1": part.q1,
-                                "q2": part.q2,
-                                "q3": part.q3,
-                                "q4": part.q4,
-                                "total": part.total,
-                            }
-                        )
-                    rows.append({"abr": abr, "video": v, "trace": t, **stats})
-        columns = [
-            "abr",
-            "video",
-            "trace",
-            "mean_qoe",
-            "q1",
-            "q2",
-            "q3",
-            "q4",
-            "rebuffer_s",
-            "segments",
-        ]
-        emit_report(out / "streaming_metrics.csv", columns, rows)
-        outputs.append("streaming_metrics.csv")
-        emit_report(
-            out / "qoe_breakdown.csv",
-            ["abr", "video", "trace", "segment_index", "q1", "q2", "q3", "q4", "total"],
-            breakdown_rows,
-        )
-        outputs.append("qoe_breakdown.csv")
-        for abr in cfg.abr:
-            sel = [r for r in rows if r["abr"] == abr]
-            results[abr] = {"mean_qoe": float(np.mean([r["mean_qoe"] for r in sel]))}
-    else:
-        raise ConfigurationError(f"unknown experiment kind {cfg.kind!r}")
-
+    out = Path(cfg.out_dir)  # created by the runner's first report
+    results, outputs, error_rows = runner(cfg, out)
     if error_rows:
         emit_report(out / "errors.csv", ["item", "error"], error_rows)
         outputs.append("errors.csv")

@@ -57,12 +57,6 @@ def softmax(logits: Array, axis: int = -1) -> Array:
     return ex / np.sum(ex, axis=axis, keepdims=True)
 
 
-def softmax_backward(probs: Array, dprobs: Array, axis: int = -1) -> Array:
-    """Gradient w.r.t. logits given gradient w.r.t. softmax output."""
-    inner = np.sum(probs * dprobs, axis=axis, keepdims=True)
-    return probs * (dprobs - inner)
-
-
 def entropy(probs: Array, axis: int = -1) -> Array:
     """Shannon entropy (nats) of a categorical distribution."""
     p = np.clip(probs, 1e-300, None)
@@ -141,14 +135,6 @@ class ParamStore:
             raise ShapeError("parameter stores have different layouts")
         for name, arr in self._arrays.items():
             arr[...] = other[name]
-
-    def scale(self, factor: float) -> None:
-        for arr in self._arrays.values():
-            arr *= factor
-
-    def add_scaled(self, other: "ParamStore", factor: float = 1.0) -> None:
-        for name, arr in self._arrays.items():
-            arr += factor * other[name]
 
 
 def uniform_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> Array:
@@ -269,9 +255,6 @@ class LstmCellParams:
             b_g=mk("b_g", (hidden_dim,)),
         )
 
-    def grad_names(self, prefix: str) -> list[str]:
-        return [f"{prefix}.{g}" for g in ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g")]
-
 
 @dataclass
 class LstmStepCache:
@@ -359,12 +342,12 @@ def lstm_step_backward(
 # 1-D convolution (valid, cross-correlation)
 # ---------------------------------------------------------------------------
 
-def conv1d_forward(filters: Array, bias: Array, x: Array, stride: int = 1) -> Array:
+def conv1d_forward(filters: Array, bias: Array, x: Array) -> Array:
     """Valid (no padding) 1-D cross-correlation.
 
     ``x`` is (length, channels) or (batch, length, channels); ``filters`` is
     (n_filters, width, channels). Output length is
-    floor((length - width) / stride) + 1, feature axis is the filter bank.
+    length - width + 1, feature axis is the filter bank.
     A 1-D ``x`` or 2-D ``filters`` is treated as single-channel.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -383,11 +366,9 @@ def conv1d_forward(filters: Array, bias: Array, x: Array, stride: int = 1) -> Ar
         raise ShapeError(f"input has {x_channels} channels, filters expect {channels}")
     if length < width:
         raise ShapeError(f"input length {length} is shorter than filter width {width}")
-    if stride < 1:
-        raise ParameterError("stride must be a positive integer")
-    out_len = (length - width) // stride + 1
+    out_len = length - width + 1
     windows = np.stack(
-        [x[:, k * stride : k * stride + width, :] for k in range(out_len)], axis=1
+        [x[:, k : k + width, :] for k in range(out_len)], axis=1
     )  # (batch, out_len, width, channels)
     out = (
         windows.reshape(batch, out_len, width * channels)
@@ -397,9 +378,7 @@ def conv1d_forward(filters: Array, bias: Array, x: Array, stride: int = 1) -> Ar
     return out[0] if squeeze_batch else out
 
 
-def conv1d_backward(
-    filters: Array, x: Array, dy: Array, stride: int = 1
-) -> tuple[Array, Array, Array]:
+def conv1d_backward(filters: Array, x: Array, dy: Array) -> tuple[Array, Array, Array]:
     """Returns (dx, dfilters, dbias); shapes follow :func:`conv1d_forward`."""
     filters = np.asarray(filters, dtype=np.float64)
     if filters.ndim == 2:
@@ -414,9 +393,7 @@ def conv1d_backward(
     n_filters, width, channels = filters.shape
     batch, length, _ = x.shape
     out_len = dy.shape[1]
-    windows = np.stack(
-        [x[:, k * stride : k * stride + width, :] for k in range(out_len)], axis=1
-    )
+    windows = np.stack([x[:, k : k + width, :] for k in range(out_len)], axis=1)
     flat_windows = windows.reshape(batch * out_len, width * channels)
     flat_dy = dy.reshape(batch * out_len, n_filters)
     dfilters = (flat_dy.T @ flat_windows).reshape(n_filters, width, channels)
@@ -426,7 +403,7 @@ def conv1d_backward(
     )
     dx = np.zeros_like(x)
     for k in range(out_len):
-        dx[:, k * stride : k * stride + width, :] += dwindows[:, k, :, :]
+        dx[:, k : k + width, :] += dwindows[:, k, :, :]
     return (dx[0] if squeeze_batch else dx), dfilters, dbias
 
 
@@ -441,21 +418,19 @@ class Conv1d:
         width: int,
         n_filters: int,
         rng: np.random.Generator,
-        stride: int = 1,
     ) -> None:
         fan_in = width * channels
         self.filters = store.add(
             f"{prefix}.filters", uniform_init((n_filters, width, channels), fan_in, rng)
         )
         self.bias = store.add(f"{prefix}.bias", uniform_init((n_filters,), fan_in, rng))
-        self.stride = stride
         self._prefix = prefix
 
     def forward(self, x: Array) -> Array:
-        return conv1d_forward(self.filters, self.bias, x, self.stride)
+        return conv1d_forward(self.filters, self.bias, x)
 
     def backward(self, x: Array, dy: Array, grads: ParamStore) -> Array:
-        dx, dfilt, dbias = conv1d_backward(self.filters, x, dy, self.stride)
+        dx, dfilt, dbias = conv1d_backward(self.filters, x, dy)
         grads[f"{self._prefix}.filters"] += dfilt
         grads[f"{self._prefix}.bias"] += dbias
         return dx

@@ -143,3 +143,34 @@ def test_train_agent_and_sweep_buffer(tmp_path):
     assert rc == 0
     assert (tmp_path / "agent" / "policy.ckpt").exists()
     assert (tmp_path / "agent" / "training_log.csv").exists()
+
+
+def test_train_agent_then_eval_stream_with_agent(tmp_path):
+    from tile360.harness import ExperimentConfig
+    from tile360.synth import TraceSpec, TrajectorySpec
+    import dataclasses
+
+    cfg = dataclasses.replace(
+        ExperimentConfig(),
+        kind="stream",
+        seed=0,
+        trajectories=TrajectorySpec(users=1, duration_s=6.0, seed=0),
+        n_videos=1,
+        n_traces=1,
+        traces=TraceSpec(duration_s=20.0, seed=0),
+        grid_rows=1,
+        grid_cols=2,
+        levels_mbps=(1.0, 4.0),
+        n_segments=4,
+        abr=("bb", "agent"),
+        agent_checkpoint=str(tmp_path / "agent" / "policy.ckpt"),
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main([
+        "train-agent", "--out-dir", str(tmp_path / "agent"), "--config", str(path),
+        "--steps", "16", "--workers", "1", "--filters", "4",
+    ]) == 0
+    assert main(["eval-stream", "--out-dir", str(tmp_path / "eval"), "--config", str(path)]) == 0
+    rows = (tmp_path / "eval" / "streaming_metrics.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["bb", "agent"]

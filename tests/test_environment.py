@@ -73,6 +73,12 @@ class TestDownloadTime:
         with pytest.raises(ParameterError):
             download_time(0.0, NetworkTrace.constant(1.0), 0.0)
 
+    def test_all_zero_trace_raises_instead_of_looping(self):
+        trace = NetworkTrace(np.array([0.0, 1.0, 2.0]), np.zeros(3))
+        for _ in range(2):  # the second call reads the cached flag
+            with pytest.raises(ConfigurationError, match="no positive-throughput"):
+                download_time(1.0, trace, 0.5)
+
 
 class TestHarmonicThroughput:
     def test_constant(self):

@@ -1,17 +1,21 @@
 """Harness tests: file formats, reports, experiment determinism, replay."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tile360.agent import PolicyNet, StateEncoder
 from tile360.environment import NetworkTrace
+from tile360.errors import ConfigurationError
 from tile360.harness import (
     ExperimentConfig,
     PredictorBundle,
     SCHEMA_VERSION,
     StreamWorld,
+    build_stream_world,
     emit_report,
     evaluate_prediction,
     load_trace_set,
@@ -25,6 +29,7 @@ from tile360.harness import (
     save_trajectory_dataset,
 )
 from tile360.geometry import TileGrid
+from tile360.predictors import CrossUserAttentiveNet
 from tile360.synth import TraceSpec, TrajectorySpec, synthesize_traces, synthesize_trajectories
 
 
@@ -182,6 +187,97 @@ class TestRunExperiment:
         d = cfg.to_dict()
         back = ExperimentConfig.from_dict(json.loads(json.dumps(d)))
         assert back == cfg
+
+
+class TestStreamWorld:
+    def test_predictor_schedule_feeds_the_world(self, tmp_path):
+        cfg = dataclasses.replace(
+            _fast_stream_config(tmp_path),
+            trajectories=TrajectorySpec(users=3, duration_s=10.0, seed=0),
+            cross_users=2,
+        )
+        world = build_stream_world(cfg)
+        assert all(np.array_equal(p, a) for p, a in world.schedules)
+        lr_world = build_stream_world(dataclasses.replace(cfg, stream_predictor="lr"))
+        for (p, a), (p0, a0) in zip(lr_world.schedules, world.schedules):
+            np.testing.assert_array_equal(a, a0)
+        assert any(not np.array_equal(p, a) for p, a in lr_world.schedules)
+
+    def test_unknown_stream_predictor_rejected(self, tmp_path):
+        cfg = dataclasses.replace(_fast_stream_config(tmp_path), stream_predictor="oracle")
+        with pytest.raises(ConfigurationError, match="stream_predictor"):
+            build_stream_world(cfg)
+
+
+def _small_stream_config(tmp_path, **changes):
+    return dataclasses.replace(
+        _fast_stream_config(tmp_path),
+        trajectories=TrajectorySpec(users=3, duration_s=10.0, seed=0),
+        n_videos=1,
+        n_traces=1,
+        n_segments=5,
+        cross_users=2,
+        **changes,
+    )
+
+
+class TestStreamControllers:
+    def test_attentive_stream_predictor_runs(self, tmp_path, monkeypatch):
+        calls = []
+        predict = CrossUserAttentiveNet.predict
+
+        def counting_predict(net, task):
+            calls.append(task)
+            return predict(net, task)
+
+        monkeypatch.setattr(CrossUserAttentiveNet, "predict", counting_predict)
+        cfg = _small_stream_config(
+            tmp_path,
+            stream_predictor="attentive",
+            horizons_s=(1.0,),
+            attentive_hidden=4,
+            attentive_epochs=1,
+            attentive_train_tasks=8,
+            attentive_batch=4,
+        )
+        results = run_experiment(cfg)
+        assert results["error_count"] == 0
+        # segments 2-4 have a full history window, so the network predicts them
+        assert len(calls) == 3
+
+    def test_agent_controller_runs(self, tmp_path):
+        cfg = _small_stream_config(tmp_path, abr=("bb", "agent"))
+        world = build_stream_world(cfg)
+        PolicyNet(world.encoder(), filters=4, scalar_units=4).save(tmp_path / "policy.ckpt")
+        cfg = dataclasses.replace(cfg, agent_checkpoint=str(tmp_path / "policy.ckpt"))
+        results = run_experiment(cfg)
+        assert results["error_count"] == 0
+        assert set(results) == {"bb", "agent", "error_count"}
+        assert np.isfinite(results["agent"]["mean_qoe"])
+
+    def _assert_rejected(self, cfg, match):
+        with pytest.raises(ConfigurationError, match=match):
+            run_experiment(cfg)
+        assert not Path(cfg.out_dir).exists(), "a rejected config must write nothing"
+
+    def test_unknown_abr_rejected_before_any_report(self, tmp_path):
+        self._assert_rejected(_small_stream_config(tmp_path, abr=("bb", "mpc")), "mpc")
+
+    def test_unknown_kind_rejected_before_any_report(self, tmp_path):
+        self._assert_rejected(_small_stream_config(tmp_path, kind="train"), "kind 'train'")
+
+    def test_agent_without_checkpoint_rejected(self, tmp_path):
+        self._assert_rejected(_small_stream_config(tmp_path, abr=("agent",)), "agent_checkpoint")
+
+    def test_checkpoint_ladder_mismatch_rejected(self, tmp_path):
+        encoder = StateEncoder(
+            n_levels=2, chunk_scale=1.0, rate_scale=1.0, throughput_scale=1.0, buffer_scale=1.0
+        )
+        PolicyNet(encoder, filters=4, scalar_units=4).save(tmp_path / "policy.ckpt")
+        cfg = _small_stream_config(
+            tmp_path, abr=("agent",), agent_checkpoint=str(tmp_path / "policy.ckpt")
+        )
+        self._assert_rejected(cfg, "2 levels, levels_mbps has 3")
 
 
 class TestSweeps:

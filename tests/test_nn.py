@@ -165,16 +165,15 @@ class TestConv1d:
         filters = rng.normal(size=(4, 3, 2))
         bias = rng.normal(size=4)
         x = rng.normal(size=(9, 2))
-        stride = 2
-        out = conv1d_forward(filters, bias, x, stride)
-        out_len = (9 - 3) // stride + 1
+        out = conv1d_forward(filters, bias, x)
+        out_len = 9 - 3 + 1
         assert out.shape == (out_len, 4)
         for o in range(out_len):
             for f in range(4):
                 acc = bias[f]
                 for w in range(3):
                     for c in range(2):
-                        acc += filters[f, w, c] * x[o * stride + w, c]
+                        acc += filters[f, w, c] * x[o + w, c]
                 assert abs(out[o, f] - acc) < 1e-12
 
     def test_backward_matches_finite_differences(self):
