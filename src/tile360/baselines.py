@@ -14,14 +14,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import StreamEnv, download_time
+from .environment import StreamEnv, download_times
 from .errors import InfeasibleError, ParameterError
-from .geometry import neighbor_map
-from .qoe import QoeWeights, SegmentDecision, spatial_variation, viewport_quality
+from .geometry import neighbor_pairs, ordered_pairs
+from .qoe import QoeWeights, SegmentDecision, pair_variation
 
 Array = np.ndarray
 
 ORACLE_GUARD = 10_000_000
+# Search-tree nodes advanced together by the oracle: large enough to amortise
+# numpy's per-call cost, small enough to keep the working arrays near 100 kB.
+ORACLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,12 @@ def greedy_mckp(
     Mbit that still fits, then polishes with single-tile reassignment local
     search. ``chunk_sizes`` is the (tiles, levels) cost matrix in Mbit for
     this segment.
+
+    Each trial is scored on plain arrays: the objective is
+    ``np.dot(probs, rates) - eta2 * pair_variation(probs, rates, pairs)``
+    over the ordered pairs of ``neighbors``, which equals
+    ``viewport_quality`` and ``spatial_variation`` of the trial's
+    ``SegmentDecision`` bit for bit, so exact ties break the same way.
     """
     ladder = np.asarray(ladder, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
@@ -94,9 +103,12 @@ def greedy_mckp(
             f"budget {budget_mbit:.3f} Mbit is below the all-lowest cost {spent:.3f}"
         )
 
+    pairs = ordered_pairs(neighbors)
+    tiles = np.arange(n_tiles)
+
     def objective(lv: Array) -> float:
-        d = SegmentDecision(levels=lv, ladder=ladder, probs=probs)
-        return viewport_quality(d) - weights.eta2 * spatial_variation(d, neighbors)
+        rates = ladder[tiles, lv]
+        return float(np.dot(probs, rates)) - weights.eta2 * pair_variation(probs, rates, pairs)
 
     score = objective(levels)
     while True:
@@ -152,17 +164,25 @@ def brute_force_oracle(
 
     ``probs_sequence`` holds the actual per-segment viewing probabilities,
     shape (segments, tiles). Returns (best per-segment level arrays, best
-    cumulative QoE). Refuses instances larger than the guard
+    cumulative QoE); among equal-valued sequences the first in depth-first
+    (lexicographic) order wins. Refuses instances larger than the guard
     levels ** (tiles * horizon) > 1e7 with a size estimate. The environment
     is reset with ``reset_seed`` and left at the end of the best playthrough.
 
-    The search precomputes each segment's per-combination byte volume and
-    quality terms and walks the search tree on the small dynamic state
-    (trace cursor, buffer, previous viewport quality); it is numerically
-    identical to stepping the environment through every branch.
+    Each segment's per-combination byte volume, viewport quality and spatial
+    variation do not depend on the playback state, so they are computed
+    once. The search then walks the tree in blocks of at most
+    ``ORACLE_BLOCK`` nodes, advancing each block one segment on the small
+    dynamic state (trace cursor, buffer, previous viewport quality, summed
+    QoE) with the environment's arithmetic lane by lane (``download_times``).
+    A block's children are expanded in order, block after block, so leaves
+    are reached in depth-first order and every value is bit-identical to
+    stepping the environment through that branch.
     """
     manifest = env.manifest
     horizon = manifest.n_segments if horizon is None else min(horizon, manifest.n_segments)
+    if horizon < 0:
+        raise ParameterError("oracle horizon must be nonnegative")
     n_combos = manifest.n_levels ** (manifest.n_tiles * horizon)
     if n_combos > ORACLE_GUARD:
         raise InfeasibleError(
@@ -171,9 +191,26 @@ def brute_force_oracle(
         )
     probs_sequence = np.asarray(probs_sequence, dtype=np.float64)
     ladder = manifest.tile_rates
-    combos = [np.array(c) for c in np.ndindex(*([manifest.n_levels] * manifest.n_tiles))]
+    tiles = np.arange(manifest.n_tiles)
+    pairs = neighbor_pairs(manifest.grid)
+    combos = np.array(
+        list(np.ndindex(*([manifest.n_levels] * manifest.n_tiles))), dtype=np.int64
+    )
+    # per (segment, combo): byte volume, q1, q3 (state-independent terms)
+    terms = []
+    for seg in range(horizon):
+        probs = probs_sequence[seg]
+        sizes, q1s, q3s = (np.empty(len(combos)) for _ in range(3))
+        for k, combo in enumerate(combos):
+            rates = ladder[tiles, combo]
+            sizes[k] = manifest.chunk_sizes[seg, tiles, combo].sum()
+            q1s[k] = np.dot(probs, rates)
+            q3s[k] = pair_variation(probs, rates, pairs)
+        terms.append((sizes, q1s, q3s))
 
-    best_seq, best_value = _oracle_precomputed(env, probs_sequence, horizon, reset_seed, combos)
+    env.reset(seed=reset_seed)
+    best_path, best_value = _search_blocks(env, terms)
+    best_seq = [combos[k].copy() for k in best_path]
     # leave the environment at the end of the winning playthrough
     env.reset(seed=reset_seed)
     for depth, combo in enumerate(best_seq):
@@ -183,67 +220,57 @@ def brute_force_oracle(
             ),
             probs_sequence[depth],
         )
-    return best_seq, float(best_value)
+    return best_seq, best_value
 
 
-def _oracle_precomputed(env, probs_sequence, horizon, reset_seed, combos):
-    """Search on precomputed per-combo terms; same arithmetic as env.step."""
-    manifest = env.manifest
-    neighbors = neighbor_map(manifest.grid)
-    ladder = manifest.tile_rates
-    w = env.weights
-    T = manifest.segment_duration
+def _search_blocks(env: StreamEnv, terms: list[tuple[Array, Array, Array]]) -> tuple[Array, float]:
+    """First maximum over every combo sequence, starting from the env's state.
+
+    ``terms[depth]`` holds (size, q1, q3) per combo. Each pending entry is a
+    range [lo, hi) of the children of a block of parent nodes, child
+    ``j`` being combo ``j % n_combos`` after parent ``j // n_combos``.
+    """
+    if not terms:
+        return np.zeros(0, dtype=np.intp), 0.0
+    T = env.manifest.segment_duration
     cap = env.buffer_cap_s
-    idx = np.arange(manifest.n_tiles)
-    # per (segment, combo): byte volume, q1, q3 (state-independent terms)
-    per_segment: list[list[tuple[float, float, float]]] = []
-    for seg in range(horizon):
-        rows = []
-        for combo in combos:
-            d = SegmentDecision(levels=combo, ladder=ladder, probs=probs_sequence[seg])
-            rows.append(
-                (
-                    float(manifest.chunk_sizes[seg, idx, combo].sum()),
-                    viewport_quality(d),
-                    spatial_variation(d, neighbors),
-                )
-            )
-        per_segment.append(rows)
-
-    env.reset(seed=reset_seed)
-    start = env.snapshot()
-    best_value = -np.inf
-    best_seq: list[int] = []
+    w = env.weights
     trace = env.trace
     loop = trace.loop_duration
-
-    def search(depth, cursor, buffer_s, last_q1, acc, chosen):
-        nonlocal best_value, best_seq
-        if depth == horizon:
-            if acc > best_value:
-                best_value = acc
-                best_seq = chosen.copy()
-            return
-        for k, (size, q1, q3) in enumerate(per_segment[depth]):
-            idle = buffer_s + T - cap
-            if idle > 0.0:
-                buf = buffer_s - idle
-                cur = (cursor + idle) % loop
-            else:
-                buf = buffer_s
-                cur = cursor
-            delta, new_cursor = download_time(size, trace, cur)
-            rebuf = delta - buf
-            if rebuf < 0.0:
-                rebuf = 0.0
-            new_buf = buf - delta
-            if new_buf < 0.0:
-                new_buf = 0.0
-            new_buf = min(new_buf + T, cap)
-            reward = q1 - w.eta1 * abs(q1 - last_q1) - w.eta2 * q3 - w.eta3 * rebuf
-            chosen.append(k)
-            search(depth + 1, new_cursor, new_buf, q1, acc + reward, chosen)
-            chosen.pop()
-
-    search(0, start["cursor"], start["buffer"], start["last_q1"], 0.0, [])
-    return [combos[k].copy() for k in best_seq], best_value
+    n_combos = terms[0][0].size
+    start = env.snapshot()
+    root = (
+        np.array([start["cursor"]]),
+        np.array([start["buffer"]]),
+        np.array([start["last_q1"]]),
+        np.zeros(1),
+        np.zeros((1, 0), dtype=np.intp),
+    )
+    best_value, best_path = -np.inf, None
+    pending = [(0, root, 0, n_combos)]
+    while pending:
+        depth, parents, lo, hi = pending.pop()
+        parent, k = np.divmod(np.arange(lo, hi), n_combos)
+        cursor, buffer, last_q1, acc, path = (x[parent] for x in parents)
+        size, q1, q3 = (x[k] for x in terms[depth])
+        idle = buffer + T - cap
+        waits = idle > 0.0
+        buf = np.where(waits, buffer - idle, buffer)
+        cur = np.where(waits, np.remainder(cursor + idle, loop), cursor)
+        delta, cursor = download_times(size, trace, cur)
+        rebuf = np.maximum(delta - buf, 0.0)
+        buffer = np.minimum(np.maximum(buf - delta, 0.0) + T, cap)
+        acc = acc + (q1 - w.eta1 * np.abs(q1 - last_q1) - w.eta2 * q3 - w.eta3 * rebuf)
+        path = np.column_stack((path, k))
+        if depth + 1 < len(terms):
+            n = (hi - lo) * n_combos
+            children = (cursor, buffer, q1, acc, path)
+            pending.extend(
+                (depth + 1, children, s, min(s + ORACLE_BLOCK, n))
+                for s in reversed(range(0, n, ORACLE_BLOCK))
+            )
+            continue
+        j = int(np.argmax(acc))
+        if acc[j] > best_value:
+            best_value, best_path = float(acc[j]), path[j]
+    return best_path, best_value

@@ -25,15 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ProtocolError
-from .geometry import TileGrid
+from .geometry import TileGrid, neighbor_pairs
 from .qoe import (
     QoeBreakdown,
     QoeWeights,
     SegmentDecision,
+    pair_variation,
     qoe_score,
-    spatial_variation,
     temporal_variation,
-    viewport_quality,
 )
 
 Array = np.ndarray
@@ -176,6 +175,54 @@ def download_time(size_mbit: float, trace: NetworkTrace, cursor_s: float) -> tup
         if idx == n:
             idx = 0
         offset = 0.0
+
+
+def download_times(
+    sizes_mbit: Array, trace: NetworkTrace, cursors_s: Array
+) -> tuple[Array, Array]:
+    """Lane-wise ``download_time``: one independent download per lane.
+
+    Each lane performs the scalar integrator's operations in the same order
+    (``np.remainder`` for ``%``, ``searchsorted(side="right")`` for
+    ``bisect_right``, then ``remaining -= capacity`` and ``elapsed += avail``
+    per interval crossed), so lane k returns exactly
+    ``download_time(sizes_mbit[k], trace, cursors_s[k])``. Lanes drop out as
+    their download completes. For a single download the scalar function is
+    much cheaper.
+    """
+    remaining = np.array(sizes_mbit, dtype=np.float64)
+    if np.any(remaining <= 0):
+        raise ParameterError("download size must be positive")
+    *intervals, loop, any_positive = trace._playback()
+    if not any_positive:
+        raise ConfigurationError("trace has no positive-throughput interval")
+    starts, durations, bws = (np.array(values) for values in intervals)
+    cursor = np.remainder(np.asarray(cursors_s, dtype=np.float64), loop)
+    idx = np.searchsorted(starts, cursor, side="right") - 1
+    offset = cursor - starts[idx]
+    elapsed = np.zeros_like(remaining)
+    out_elapsed = np.empty_like(remaining)
+    out_cursor = np.empty_like(remaining)
+    lane = np.arange(remaining.size)
+    while lane.size:
+        avail_time = durations[idx] - offset
+        bw = bws[idx]
+        capacity = bw * avail_time
+        done = (capacity >= remaining) & (bw > 0.0)
+        if done.any():
+            dt = remaining[done] / bw[done]
+            out_elapsed[lane[done]] = elapsed[done] + dt
+            out_cursor[lane[done]] = np.remainder(starts[idx[done]] + offset[done] + dt, loop)
+            left = ~done
+            lane, idx, remaining, elapsed, avail_time, capacity = (
+                x[left] for x in (lane, idx, remaining, elapsed, avail_time, capacity)
+            )
+        remaining -= capacity
+        elapsed += avail_time
+        idx += 1
+        idx[idx == starts.size] = 0
+        offset = np.zeros(lane.size)
+    return out_elapsed, out_cursor
 
 
 def harmonic_throughput(
@@ -396,9 +443,7 @@ class StreamEnv:
         self.weights = weights
         self.buffer_cap_s = float(buffer_cap_s)
         self.throughput_prior_mbps = float(throughput_prior_mbps)
-        from .geometry import neighbor_map
-
-        self._neighbors = neighbor_map(manifest.grid)
+        self._pairs = neighbor_pairs(manifest.grid)
         self._started = False
 
     # -- state bookkeeping ---------------------------------------------------
@@ -469,6 +514,11 @@ class StreamEnv:
                 f"decision targets segment {decision.segment_index}, "
                 f"environment expects {self._segment}"
             )
+        probs = np.asarray(actual_probs, dtype=np.float64)
+        if probs.shape != (self.manifest.n_tiles,):
+            raise ParameterError(
+                f"actual_probs has shape {probs.shape}, expected ({self.manifest.n_tiles},)"
+            )
 
         T = self.manifest.segment_duration
         # wait for buffer room before requesting (drains at playback rate)
@@ -485,14 +535,10 @@ class StreamEnv:
         if len(self._history) > DOWNLOAD_HISTORY_LEN:
             self._history = self._history[-DOWNLOAD_HISTORY_LEN:]
 
-        actual = SegmentDecision(
-            levels=decision.levels,
-            ladder=decision.ladder,
-            probs=np.asarray(actual_probs, dtype=np.float64),
-        )
-        q1 = viewport_quality(actual)
+        rates = decision.chosen_rates()
+        q1 = float(np.dot(probs, rates))
         q2 = temporal_variation(q1, self._last_q1)
-        q3 = spatial_variation(actual, self._neighbors)
+        q3 = pair_variation(probs, rates, self._pairs)
         breakdown = qoe_score(q1, q2, q3, rebuffer, self.weights)
 
         self.account.playing_download_s += delta - rebuffer

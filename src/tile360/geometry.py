@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -191,6 +192,27 @@ def one_hop_neighbors(grid: TileGrid, tile: int) -> frozenset[int]:
 def neighbor_map(grid: TileGrid) -> tuple[frozenset[int], ...]:
     """one_hop_neighbors for every tile, cached per grid."""
     return tuple(one_hop_neighbors(grid, t) for t in range(grid.n_tiles))
+
+
+def ordered_pairs(neighbors: Sequence[frozenset[int]]) -> tuple[Array, Array]:
+    """Index arrays (a, b) listing every ordered neighbor pair (i, u).
+
+    Pairs run tile by tile, and within a tile in the iteration order of its
+    neighbor set, so a sequential sum over them adds the same terms in the
+    same order as a loop ``for i ...: for u in neighbors[i]``.
+    """
+    a = np.fromiter((i for i, nbrs in enumerate(neighbors) for _ in nbrs), dtype=np.intp)
+    b = np.fromiter((u for nbrs in neighbors for u in nbrs), dtype=np.intp)
+    return a, b
+
+
+@lru_cache(maxsize=64)
+def neighbor_pairs(grid: TileGrid) -> tuple[Array, Array]:
+    """ordered_pairs of neighbor_map(grid), cached per grid (read-only arrays)."""
+    pairs = ordered_pairs(neighbor_map(grid))
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def _lon_interval_overlap(start: float, width: float, lo: float, hi: float) -> float:

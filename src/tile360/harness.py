@@ -510,17 +510,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Config from a JSON-style dict; missing fields take their defaults."""
         d = dict(d)
-        d["trajectories"] = TrajectorySpec(**_tuplify(dict(d["trajectories"])))
-        d["traces"] = TraceSpec(**_tuplify(dict(d["traces"])))
+        _reject_unknown(cls, d, "ExperimentConfig")
+        for key, spec in (("trajectories", TrajectorySpec), ("traces", TraceSpec)):
+            if key in d:
+                nested = dict(d[key])
+                _reject_unknown(spec, nested, key)
+                d[key] = spec(**_tuplify(nested))
         for key in ("predictors", "horizons_s", "abr", "levels_mbps", "qoe_eta"):
-            d[key] = tuple(d[key])
+            if key in d:
+                d[key] = tuple(d[key])
         return cls(**d)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _reject_unknown(cls, d: dict, where: str) -> None:
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {where} key(s) {unknown}")
 
 
 def _tuplify(spec_dict: dict) -> dict:
@@ -638,6 +650,11 @@ BREAKDOWN_COLUMNS = ["abr", "video", "trace", "segment_index", "q1", "q2", "q3",
 
 
 def _run_predict(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], list[dict]]:
+    unknown = [name for name in cfg.predictors if name not in PREDICTOR_NAMES]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown predictor {unknown}; expected names from {list(PREDICTOR_NAMES)}"
+        )
     rng = np.random.default_rng(cfg.seed)
     videos = _load_or_make_videos(cfg)
     cadence = cfg.trajectories.cadence_hz

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
+from .geometry import ordered_pairs
 
 Array = np.ndarray
 
@@ -98,21 +99,31 @@ def temporal_variation(q1_now: float, q1_prev: float) -> float:
     return abs(q1_now - q1_prev)
 
 
+def pair_variation(probs: Array, rates: Array, pairs: tuple[Array, Array]) -> float:
+    """Spatial variation of per-tile ``rates`` over ordered neighbor ``pairs``.
+
+    Sums p_a * p_b * |r_a - r_b| over the pairs (a[k], b[k]) and halves the
+    result; with every ordered pair listed, as ``geometry.neighbor_pairs``
+    does, each unordered pair counts once. The sum is sequential in pair
+    order (``np.add.accumulate``, not the pairwise ``np.sum``), so it equals
+    the nested loop over tiles and their neighbor sets bit for bit.
+    """
+    a, b = pairs
+    if a.size == 0:
+        return 0.0
+    terms = probs[a] * probs[b] * np.abs(rates[a] - rates[b])
+    return 0.5 * float(np.add.accumulate(terms)[-1])
+
+
 def spatial_variation(
     decision: SegmentDecision, neighbors: Sequence[frozenset[int]]
 ) -> float:
     """Probability-weighted bitrate disparity between neighboring tiles.
 
-    Sums p_i * p_u * |r_i - r_u| over ordered neighbor pairs and halves the
-    result, which counts each unordered pair exactly once.
+    ``pair_variation`` of the decision's chosen rates over the ordered pairs
+    of ``neighbors`` (one frozenset of neighbor tiles per tile).
     """
-    rates = decision.chosen_rates()
-    p = decision.probs
-    total = 0.0
-    for i in range(decision.n_tiles):
-        for u in neighbors[i]:
-            total += p[i] * p[u] * abs(rates[i] - rates[u])
-    return 0.5 * total
+    return pair_variation(decision.probs, decision.chosen_rates(), ordered_pairs(neighbors))
 
 
 def rebuffer_time(

@@ -56,6 +56,9 @@ from tile360.qoe import QoeWeights, SegmentDecision, spatial_variation, viewport
 from tile360.sequential import DecisionOrder, DecisionPass, decision_order
 from tile360.synth import TraceSpec, TrajectorySpec, synthesize_traces, synthesize_trajectories
 
+# the release criteria take minutes; `pytest -m "not acceptance"` skips them
+pytestmark = pytest.mark.acceptance
+
 
 def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"\n[criterion {criterion}] {'PASS' if passed else 'FAIL'}: {detail}")

@@ -5,7 +5,7 @@ import pytest
 
 from tile360.baselines import BbConfig, bb_select, brute_force_oracle, greedy_mckp
 from tile360.environment import NetworkTrace, StreamEnv, VideoManifest
-from tile360.errors import InfeasibleError
+from tile360.errors import InfeasibleError, ParameterError
 from tile360.geometry import TileGrid, neighbor_map
 from tile360.qoe import QoeWeights, SegmentDecision, spatial_variation, viewport_quality
 
@@ -14,9 +14,11 @@ def ladder(n_tiles, levels):
     return np.tile(np.asarray(levels, float) / n_tiles, (n_tiles, 1))
 
 
-def env_stepping_oracle(env, probs_sequence, reset_seed):
-    """Reference search: replays every branch of the whole video through env.step."""
+def env_stepping_oracle(env, probs_sequence, reset_seed, horizon=None):
+    """Reference search: replays every branch of the first ``horizon`` segments
+    (default: the whole video) through env.step."""
     manifest = env.manifest
+    horizon = manifest.n_segments if horizon is None else horizon
     combos = [np.array(c) for c in np.ndindex(*([manifest.n_levels] * manifest.n_tiles))]
     env.reset(seed=reset_seed)
     best_value = -np.inf
@@ -24,7 +26,7 @@ def env_stepping_oracle(env, probs_sequence, reset_seed):
 
     def search(depth, acc, chosen):
         nonlocal best_value, best_seq
-        if depth == manifest.n_segments:
+        if depth == horizon:
             if acc > best_value:
                 best_value = acc
                 best_seq = [c.copy() for c in chosen]
@@ -45,6 +47,63 @@ def env_stepping_oracle(env, probs_sequence, reset_seed):
 
     search(0, 0.0, [])
     return best_seq, best_value
+
+
+def segment_decision_greedy(ladder, probs, budget_mbit, weights, neighbors, chunk_sizes):
+    """Reference greedy allocator scoring every trial through a SegmentDecision
+    and the nested-loop spatial variation; returns the chosen levels."""
+    n_tiles, n_levels = ladder.shape
+    levels = np.zeros(n_tiles, dtype=np.int64)
+    spent = float(chunk_sizes[np.arange(n_tiles), levels].sum())
+
+    def objective(lv):
+        d = SegmentDecision(levels=lv, ladder=ladder, probs=probs)
+        rates = d.chosen_rates()
+        q3 = 0.0
+        for i in range(n_tiles):
+            for u in neighbors[i]:
+                q3 += probs[i] * probs[u] * abs(rates[i] - rates[u])
+        return viewport_quality(d) - weights.eta2 * (0.5 * q3)
+
+    score = objective(levels)
+    while True:
+        best = None
+        for i in range(n_tiles):
+            for target in range(levels[i] + 1, n_levels):
+                extra = chunk_sizes[i, target] - chunk_sizes[i, levels[i]]
+                if spent + extra > budget_mbit:
+                    continue
+                trial = levels.copy()
+                trial[i] = target
+                gain = objective(trial) - score
+                ratio = gain / max(extra, 1e-12)
+                if gain > 1e-12 and (best is None or (ratio, gain) > (best[0], best[3])):
+                    best = (ratio, i, target, gain, extra)
+        if best is None:
+            break
+        _, i, target, gain, extra = best
+        levels[i] = target
+        spent += extra
+        score += gain
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n_tiles):
+            for target in range(n_levels):
+                if target == levels[i]:
+                    continue
+                extra = chunk_sizes[i, target] - chunk_sizes[i, levels[i]]
+                if spent + extra > budget_mbit:
+                    continue
+                trial = levels.copy()
+                trial[i] = target
+                gain = objective(trial) - score
+                if gain > 1e-12:
+                    levels[i] = target
+                    spent += extra
+                    score += gain
+                    improved = True
+    return levels
 
 
 class TestBbSelect:
@@ -177,6 +236,29 @@ class TestGreedyMckp:
                     assert objective(trial) - base_obj <= 1e-9 or cost > base_cost
 
 
+    def test_levels_equal_segment_decision_reference(self):
+        # chunk sizes proportional to the rates (no jitter) and probabilities
+        # shared by several tiles make many trial upgrades tie exactly
+        rng = np.random.default_rng(11)
+        w = QoeWeights()
+        for trial in range(150):
+            grid = TileGrid(int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+            n = grid.n_tiles
+            levels = tuple(np.cumsum(rng.uniform(0.2, 3.0, int(rng.integers(1, 6)))))
+            manifest = VideoManifest.synthetic(
+                grid, 1, level_mbps=levels, seed=trial, jitter_sigma=0.2 if trial % 3 == 0 else 0.0
+            )
+            chunk = manifest.chunk_sizes[0]
+            probs = rng.choice([0.0, 0.1, 0.25, 0.5], size=n)
+            if not probs.any():
+                probs[0] = 1.0
+            probs /= probs.sum()
+            budget = float(rng.uniform(chunk[:, 0].sum(), chunk[:, -1].sum() * 1.1))
+            args = (manifest.tile_rates, probs, budget, w, neighbor_map(grid), chunk)
+            got = greedy_mckp(*args).levels
+            assert got.tolist() == segment_decision_greedy(*args).tolist()
+
+
 def toy_env(seed=0, segments=3, bw=3.0):
     grid = TileGrid(1, 2)
     manifest = VideoManifest.synthetic(
@@ -221,6 +303,27 @@ class TestBruteForceOracle:
         for combo in seq:
             assert list(combo) == [1, 1]
 
+    def test_ties_resolve_to_the_first_sequence(self):
+        # tile 0 is never viewed and stalls cost nothing, so its level never
+        # changes the value: the first of the tied sequences keeps it at 0.
+        # 81^3 leaves span many lane blocks, so ties cross block boundaries.
+        grid = TileGrid(2, 2)
+        manifest = VideoManifest.synthetic(grid, 3, level_mbps=(1.0, 2.0, 4.0), seed=2)
+        env = StreamEnv(
+            manifest, NetworkTrace.constant(5.0), weights=QoeWeights(1.0, 1.0, 0.0)
+        )
+        probs = np.tile([0.0, 0.5, 0.3, 0.2], (3, 1))
+        seq, _ = brute_force_oracle(env, probs, reset_seed=0)
+        assert [int(combo[0]) for combo in seq] == [0, 0, 0]
+
+    def test_empty_and_negative_horizons(self):
+        _, env = toy_env()
+        probs = np.tile([0.6, 0.4], (3, 1))
+        assert brute_force_oracle(env, probs, horizon=0) == ([], 0.0)
+        assert env.segment_index == 0
+        with pytest.raises(ParameterError, match="horizon"):
+            brute_force_oracle(env, probs, horizon=-1)
+
     def test_guard_refuses_large_instances(self):
         grid = TileGrid(3, 3)
         manifest = VideoManifest.synthetic(grid, 10, level_mbps=(1.0, 2.0, 4.0), seed=0)
@@ -240,19 +343,31 @@ class TestBruteForceOracle:
         from tile360.synth import TraceSpec, synthesize_traces
 
         grid = TileGrid(2, 2)
-        manifest = VideoManifest.synthetic(
-            grid, 2, level_mbps=(1.0, 2.0, 4.0), seed=7, jitter_sigma=0.2
-        )
-        trace = synthesize_traces(TraceSpec(duration_s=30.0, seed=3), 1)[0].augmented()
-        rng = np.random.default_rng(4)
-        probs = rng.dirichlet(np.ones(4), size=2)
-        env1 = StreamEnv(manifest, trace, buffer_cap_s=3.0)
-        seq_fast, v_fast = brute_force_oracle(env1, probs, reset_seed=9)
-        env2 = StreamEnv(manifest, trace, buffer_cap_s=3.0)
-        seq_ref, v_ref = env_stepping_oracle(env2, probs, reset_seed=9)
-        assert v_fast == pytest.approx(v_ref, abs=1e-9)
-        for a, b in zip(seq_fast, seq_ref):
-            assert list(a) == list(b)
+        augmented = synthesize_traces(TraceSpec(duration_s=30.0, seed=3), 1)[0].augmented()
+        stalling_bw = augmented.throughput_mbps.copy()
+        stalling_bw[1::3] = 0.0  # every third interval delivers nothing
+        stalling = NetworkTrace(augmented.timestamps, stalling_bw)
+        # (trace, segments, horizon): whole video, then the first 2 of 3 segments
+        for trace, segments, horizon in ((augmented, 2, None), (stalling, 3, 2)):
+            manifest = VideoManifest.synthetic(
+                grid, segments, level_mbps=(1.0, 2.0, 4.0), seed=7, jitter_sigma=0.2
+            )
+            probs = np.random.default_rng(4).dirichlet(np.ones(4), size=segments)
+            env1 = StreamEnv(manifest, trace, buffer_cap_s=3.0)
+            seq_fast, v_fast = brute_force_oracle(env1, probs, horizon=horizon, reset_seed=9)
+            env2 = StreamEnv(manifest, trace, buffer_cap_s=3.0)
+            seq_ref, v_ref = env_stepping_oracle(env2, probs, reset_seed=9, horizon=horizon)
+            assert v_fast == v_ref
+            assert [list(a) for a in seq_fast] == [list(b) for b in seq_ref]
+            # the oracle leaves its env at the end of the winning playthrough
+            env2.reset(seed=9)
+            for depth, combo in enumerate(seq_ref):
+                env2.step(
+                    SegmentDecision(levels=combo, ladder=manifest.tile_rates, probs=probs[depth]),
+                    probs[depth],
+                )
+            assert env1.segment_index == len(seq_ref)
+            assert env1.snapshot() == env2.snapshot()
 
     def test_dominates_any_fixed_policy(self):
         manifest, env = toy_env(seed=3)

@@ -8,6 +8,7 @@ from tile360.environment import (
     StreamEnv,
     VideoManifest,
     download_time,
+    download_times,
     harmonic_throughput,
 )
 from tile360.errors import ConfigurationError, ParameterError, ProtocolError
@@ -78,6 +79,37 @@ class TestDownloadTime:
         for _ in range(2):  # the second call reads the cached flag
             with pytest.raises(ConfigurationError, match="no positive-throughput"):
                 download_time(1.0, trace, 0.5)
+
+
+class TestDownloadTimes:
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            NetworkTrace(np.arange(6.0), np.array([3.0, 0.0, 0.0, 5.0, 0.0, 1.5])),
+            NetworkTrace(np.array([0.0, 0.7, 1.1, 2.9]), np.array([0.0, 2.0, 0.0, 4.0])),
+            NetworkTrace(np.array([0.0]), np.array([2.5])),
+            NetworkTrace.constant(1.3, duration_s=0.4),
+        ],
+        ids=["zero-intervals", "starts-at-zero", "one-sample", "constant"],
+    )
+    def test_lanes_equal_scalar(self, trace):
+        rng = np.random.default_rng(0)
+        loop = trace.loop_duration
+        peak = float(trace.throughput_mbps.max())
+        sizes = rng.uniform(1e-4, 3.0 * loop * peak, 300)
+        cursors = rng.uniform(-loop, 3.0 * loop, 300)
+        cursors[:3] = (0.0, loop, trace._playback()[0][-1])  # on interval edges
+        elapsed, cursor = download_times(sizes, trace, cursors)
+        assert elapsed.max() > loop, "some downloads must outlast one trace loop"
+        for k in range(sizes.size):
+            assert (elapsed[k], cursor[k]) == download_time(sizes[k], trace, cursors[k])
+
+    def test_rejects_what_the_scalar_rejects(self):
+        with pytest.raises(ParameterError):
+            download_times(np.array([1.0, 0.0]), NetworkTrace.constant(1.0), np.zeros(2))
+        trace = NetworkTrace(np.array([0.0, 1.0]), np.zeros(2))
+        with pytest.raises(ConfigurationError, match="no positive-throughput"):
+            download_times(np.ones(2), trace, np.zeros(2))
 
 
 class TestHarmonicThroughput:
@@ -223,6 +255,19 @@ class TestStreamEnv:
         )
         with pytest.raises(ProtocolError):
             env.step(d, uniform_probs(2))
+
+    def test_wrong_probs_shape_rejected_before_download(self):
+        m = make_manifest()
+        env = StreamEnv(m, NetworkTrace.constant(2.0))
+        env.reset(seed=0)
+        before = env.snapshot()
+        d = SegmentDecision(
+            levels=np.zeros(2, int), ladder=m.tile_rates, probs=uniform_probs(2), segment_index=0
+        )
+        with pytest.raises(ParameterError, match="actual_probs"):
+            env.step(d, uniform_probs(3))
+        assert env.snapshot()["cursor"] == before["cursor"]
+        assert env.segment_index == 0
 
     def test_step_before_reset_rejected(self):
         m = make_manifest()

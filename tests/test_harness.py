@@ -188,6 +188,21 @@ class TestRunExperiment:
         back = ExperimentConfig.from_dict(json.loads(json.dumps(d)))
         assert back == cfg
 
+    def test_partial_config_takes_defaults(self):
+        cfg = ExperimentConfig.from_dict({"kind": "stream", "seed": 1})
+        assert cfg == dataclasses.replace(ExperimentConfig(), kind="stream", seed=1)
+        cfg = ExperimentConfig.from_dict({"traces": {"seed": 4}, "abr": ["greedy"]})
+        assert cfg.traces == TraceSpec(seed=4)
+        assert cfg.abr == ("greedy",)
+        assert cfg.trajectories == TrajectorySpec()
+
+    @pytest.mark.parametrize(
+        "d,name", [({"seeds": 1}, "seeds"), ({"trajectories": {"user": 3}}, "user")]
+    )
+    def test_unknown_config_key_rejected(self, d, name):
+        with pytest.raises(ConfigurationError, match=name):
+            ExperimentConfig.from_dict(d)
+
 
 class TestStreamWorld:
     def test_predictor_schedule_feeds_the_world(self, tmp_path):
@@ -262,6 +277,10 @@ class TestStreamControllers:
 
     def test_unknown_abr_rejected_before_any_report(self, tmp_path):
         self._assert_rejected(_small_stream_config(tmp_path, abr=("bb", "mpc")), "mpc")
+
+    def test_unknown_predictor_rejected_before_any_report(self, tmp_path):
+        cfg = dataclasses.replace(_fast_predict_config(tmp_path), predictors=("static", "bogus"))
+        self._assert_rejected(cfg, "bogus")
 
     def test_unknown_kind_rejected_before_any_report(self, tmp_path):
         self._assert_rejected(_small_stream_config(tmp_path, kind="train"), "kind 'train'")

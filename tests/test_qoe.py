@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tile360.errors import ParameterError
-from tile360.geometry import TileGrid, neighbor_map
+from tile360.geometry import TileGrid, neighbor_map, neighbor_pairs
 from tile360.qoe import (
     QoeWeights,
     SegmentDecision,
+    pair_variation,
     qoe_score,
     rebuffer_time,
     spatial_variation,
@@ -22,6 +23,17 @@ def _decision(levels, ladder, probs):
     return SegmentDecision(
         levels=np.asarray(levels), ladder=np.asarray(ladder, float), probs=np.asarray(probs, float)
     )
+
+
+def loop_spatial_variation(decision, neighbors):
+    """Reference: the nested loop over tiles and their neighbor sets."""
+    rates = decision.chosen_rates()
+    p = decision.probs
+    total = 0.0
+    for i in range(decision.n_tiles):
+        for u in neighbors[i]:
+            total += p[i] * p[u] * abs(rates[i] - rates[u])
+    return 0.5 * total
 
 
 def _two_tile(rates=(4.0, 1.0), probs=(0.7, 0.3)):
@@ -119,6 +131,24 @@ class TestSpatialVariation:
             if u > i
         )
         assert spatial_variation(d, neighbors) == pytest.approx(unordered, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows,cols", [(1, 1), (2, 1), (5, 1), (1, 2), (4, 2), (2, 4), (3, 3), (6, 12)]
+    )
+    @pytest.mark.parametrize("n_levels", [1, 4])
+    def test_kernel_bit_equal_to_nested_loop(self, rows, cols, n_levels):
+        rng = np.random.default_rng(100 * rows + 10 * cols + n_levels)
+        grid = TileGrid(rows, cols)
+        neighbors = neighbor_map(grid)
+        n = grid.n_tiles
+        for _ in range(40):
+            ladder = np.sort(rng.uniform(0.1, 10.0, (n, n_levels)), axis=1)
+            probs = rng.dirichlet(np.ones(n))
+            probs[rng.random(n) < 0.4] = 0.0  # tiles outside the FoV
+            d = _decision(rng.integers(0, n_levels, n), ladder, probs)
+            expected = loop_spatial_variation(d, neighbors)
+            assert spatial_variation(d, neighbors) == expected
+            assert pair_variation(d.probs, d.chosen_rates(), neighbor_pairs(grid)) == expected
 
 
 class TestRebufferTime:
