@@ -215,19 +215,6 @@ def neighbor_pairs(grid: TileGrid) -> tuple[Array, Array]:
     return pairs
 
 
-def _lon_interval_overlap(start: float, width: float, lo: float, hi: float) -> float:
-    """Overlap of the circular interval [start, start+width] with [lo, hi].
-
-    [lo, hi] is a tile extent inside [-180, 180]; the FoV interval may cross
-    the seam, so it is unrolled one turn to each side.
-    """
-    total = 0.0
-    for shift in (-360.0, 0.0, 360.0):
-        a = start + shift
-        total += max(0.0, min(a + width, hi) - max(a, lo))
-    return total
-
-
 def viewing_probabilities(
     vp: Viewpoint,
     grid: TileGrid,
@@ -250,13 +237,19 @@ def viewing_probabilities(
     area = lon_width * (lat_hi - lat_lo)
     if area <= 0.0:
         raise ParameterError("FoV rectangle has zero area")
-    probs = np.zeros(grid.n_tiles)
-    for tile in range(grid.n_tiles):
-        t_lon_lo, t_lon_hi, t_lat_lo, t_lat_hi = grid.tile_bounds(tile)
-        d_lon = _lon_interval_overlap(lon_start, lon_width, t_lon_lo, t_lon_hi)
-        d_lat = max(0.0, min(lat_hi, t_lat_hi) - max(lat_lo, t_lat_lo))
-        probs[tile] = d_lon * d_lat / area
-    return probs
+    # Overlap is separable: per-row latitude extent times per-column
+    # longitude extent, the FoV interval unrolled one turn to each side.
+    t_lat_hi = 90.0 - np.arange(grid.rows) * grid.lat_height
+    d_lat = np.maximum(
+        0.0, np.minimum(lat_hi, t_lat_hi) - np.maximum(lat_lo, t_lat_hi - grid.lat_height)
+    )
+    t_lon_lo = -180.0 + np.arange(grid.cols) * grid.lon_width
+    t_lon_hi = t_lon_lo + grid.lon_width
+    d_lon = np.zeros(grid.cols)
+    for shift in (-360.0, 0.0, 360.0):
+        a = lon_start + shift
+        d_lon += np.maximum(0.0, np.minimum(a + lon_width, t_lon_hi) - np.maximum(a, t_lon_lo))
+    return (np.outer(d_lat, d_lon) / area).ravel()
 
 
 def hit_rate(predicted: Array, actual: Array, threshold: float = 0.0) -> float:

@@ -764,7 +764,9 @@ def replay(summary_path, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_training_log(path, rows: list[dict]) -> None:
-    columns = ["step", "episode", "mean_qoe", "q1", "q2", "q3", "q4", "entropy", "beta"]
+    columns = [
+        "step", "episode", "mean_qoe", "q1", "q2", "q3", "q4", "entropy", "beta", "value_loss"
+    ]
     emit_report(path, columns, rows)
 
 

@@ -248,29 +248,38 @@ def predict_knn(
 
 @dataclass(frozen=True)
 class AttentionTrace:
-    """Similarities, weights, and fused embedding of one attention step.
+    """Participants, similarities, weights, and fused embedding of one step.
 
-    Participant order: cross users first, the current user last.
+    Participant order: cross users first, the current user last. Leading
+    batch axes of the inputs carry through every field.
     """
 
+    stacked: Array
     similarities: Array
     weights: Array
     fused: Array
 
 
 def attend(user_embedding: Array, cross_embeddings: Array) -> AttentionTrace:
-    """Inner-product attention over {cross users} + {current user}."""
+    """Inner-product attention over {cross users} + {current user}.
+
+    ``user_embedding`` is (..., hidden) and ``cross_embeddings`` is
+    (..., M, hidden) with the same leading axes; M may be zero.
+    """
     user_embedding = np.asarray(user_embedding, dtype=np.float64)
     cross_embeddings = np.asarray(cross_embeddings, dtype=np.float64)
-    if cross_embeddings.size == 0:
-        cross_embeddings = np.zeros((0, user_embedding.size))
-    if cross_embeddings.ndim != 2 or cross_embeddings.shape[1] != user_embedding.size:
-        raise ParameterError("embeddings must share the user embedding's length")
-    stacked = np.concatenate([cross_embeddings, user_embedding[None, :]], axis=0)
-    sims = stacked @ user_embedding
-    weights = softmax(sims)
-    fused = weights @ stacked
-    return AttentionTrace(similarities=sims, weights=weights, fused=fused)
+    if cross_embeddings.ndim != user_embedding.ndim + 1 or (
+        cross_embeddings.shape[:-2] + cross_embeddings.shape[-1:] != user_embedding.shape
+    ):
+        raise ParameterError(
+            f"cross embeddings {cross_embeddings.shape} do not match the user "
+            f"embedding {user_embedding.shape} as (..., M, hidden) and (..., hidden)"
+        )
+    stacked = np.concatenate([cross_embeddings, user_embedding[..., None, :]], axis=-2)
+    sims = np.einsum("...mh,...h->...m", stacked, user_embedding)
+    weights = softmax(sims, axis=-1)
+    fused = np.einsum("...m,...mh->...h", weights, stacked)
+    return AttentionTrace(stacked=stacked, similarities=sims, weights=weights, fused=fused)
 
 
 class CrossUserAttentiveNet:
@@ -338,34 +347,20 @@ class CrossUserAttentiveNet:
         for k in range(H):
             user_state = self._encode_step(history[:, k], user_state, user_caches)
 
-        if M > 0:
-            flat_cross = cross.reshape(B * M, cross.shape[2], 2)
-            cross_state = self._zero_state((B * M,))
-            cross_caches: list | None = [] if keep else None
-            for k in range(H + 1):
-                cross_state = self._encode_step(flat_cross[:, k], cross_state, cross_caches)
-        else:
-            flat_cross = None
-            cross_state = None
-            cross_caches = [] if keep else None
+        flat_cross = cross.reshape(B * M, cross.shape[2], 2)
+        cross_state = self._zero_state((B * M,))
+        cross_caches: list | None = [] if keep else None
+        for k in range(H + 1 if M > 0 else 0):
+            cross_state = self._encode_step(flat_cross[:, k], cross_state, cross_caches)
 
         preds = np.empty((B, horizon, 2))
         att_cache = []
         for s in range(1, horizon + 1):
-            f_user = user_state[2]  # (B, hidden)
-            if M > 0:
-                f_cross = cross_state[2].reshape(B, M, self.hidden)
-                stacked = np.concatenate([f_cross, f_user[:, None, :]], axis=1)
-            else:
-                stacked = f_user[:, None, :]
-            sims = np.einsum("bmh,bh->bm", stacked, f_user)
-            alpha = softmax(sims, axis=-1)
-            fused = np.einsum("bm,bmh->bh", alpha, stacked)
-            pre = self.dec.forward(fused)
-            yhat = np.tanh(pre)
+            trace = attend(user_state[2], cross_state[2].reshape(B, M, self.hidden))
+            yhat = np.tanh(self.dec.forward(trace.fused))
             preds[:, s - 1] = yhat
             if keep:
-                att_cache.append((stacked, sims, alpha, fused, yhat))
+                att_cache.append((trace, yhat))
             if s < horizon:
                 user_state = self._encode_step(yhat, user_state, user_caches)
                 if M > 0:
@@ -423,10 +418,11 @@ class CrossUserAttentiveNet:
         cross_inject: list[Array] = []
 
         for s in range(horizon, 0, -1):
-            stacked, sims, alpha, fused, yhat = att[s - 1]
+            trace, yhat = att[s - 1]
+            stacked, alpha = trace.stacked, trace.weights
             dy = np.sign(residual[:, s - 1]) / B + pending_dy
             dpre = dy * (1.0 - yhat**2)
-            grads["dec.w"] += dpre.T @ fused
+            grads["dec.w"] += dpre.T @ trace.fused
             grads["dec.b"] += dpre.sum(axis=0)
             dfused = dpre @ self.dec.w
             dalpha = np.einsum("bh,bmh->bm", dfused, stacked)

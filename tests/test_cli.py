@@ -3,7 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
+
+from tile360 import cli
 from tile360.cli import main
+from tile360.nn import load_checkpoint
+from tile360.predictors import CrossUserAttentiveNet
 
 
 def test_gen_traces_and_trajectories(tmp_path):
@@ -15,7 +20,15 @@ def test_gen_traces_and_trajectories(tmp_path):
     assert (tmp_path / "ds" / "manifest.json").exists()
 
 
-def test_train_cuan_small(tmp_path):
+def test_train_cuan_small(tmp_path, monkeypatch):
+    trained = []
+
+    class RecordingNet(CrossUserAttentiveNet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trained.append(self)
+
+    monkeypatch.setattr(cli, "CrossUserAttentiveNet", RecordingNet)
     main(["gen-trajectories", "--out-dir", str(tmp_path / "ds"), "--videos", "1",
           "--users", "4", "--duration", "8", "--seed", "0"])
     rc = main([
@@ -24,7 +37,20 @@ def test_train_cuan_small(tmp_path):
         "--hidden", "4", "--epochs", "2", "--batch", "4",
     ])
     assert rc == 0
-    assert (tmp_path / "cuan.ckpt").exists()
+    arrays, meta = load_checkpoint(tmp_path / "cuan.ckpt")
+    assert meta == {"kind": "attentive", "hidden": 4}
+    net = CrossUserAttentiveNet(hidden=4)
+    assert list(arrays) == net.store.names()
+    assert arrays["enc1.w"].shape == (16, 6)  # rows i, f, o, g; columns [x, h]
+    assert arrays["enc1.b"].shape == (16,)
+    for name, arr in arrays.items():
+        net.store[name] = arr
+    rng = np.random.default_rng(0)
+    history, cross = rng.uniform(-0.5, 0.5, (3, 3, 2)), rng.uniform(-0.5, 0.5, (3, 2, 6, 2))
+    (source,) = trained
+    assert np.array_equal(
+        net.predict_batch(history, cross, 3), source.predict_batch(history, cross, 3)
+    )
 
 
 def test_eval_predict_with_config(tmp_path):
@@ -142,7 +168,8 @@ def test_train_agent_and_sweep_buffer(tmp_path):
     ])
     assert rc == 0
     assert (tmp_path / "agent" / "policy.ckpt").exists()
-    assert (tmp_path / "agent" / "training_log.csv").exists()
+    log = (tmp_path / "agent" / "training_log.csv").read_text().splitlines()
+    assert log[0] == "step,episode,mean_qoe,q1,q2,q3,q4,entropy,beta,value_loss"
 
 
 def test_train_agent_then_eval_stream_with_agent(tmp_path):

@@ -76,6 +76,25 @@ class TestTileGrid:
             TileGrid(0, 3)
 
 
+def _loop_viewing_probabilities(vp, grid, fov_width, fov_height):
+    """Per-tile reference: overlap of the FoV rectangle with each tile's bounds."""
+    lat_lo = max(-90.0, vp.lat - fov_height / 2.0)
+    lat_hi = min(90.0, vp.lat + fov_height / 2.0)
+    lon_width = min(fov_width, 360.0)
+    lon_start = vp.lon - lon_width / 2.0
+    area = lon_width * (lat_hi - lat_lo)
+    probs = np.zeros(grid.n_tiles)
+    for tile in range(grid.n_tiles):
+        t_lon_lo, t_lon_hi, t_lat_lo, t_lat_hi = grid.tile_bounds(tile)
+        d_lon = 0.0
+        for shift in (-360.0, 0.0, 360.0):  # the FoV interval may cross the seam
+            a = lon_start + shift
+            d_lon += max(0.0, min(a + lon_width, t_lon_hi) - max(a, t_lon_lo))
+        d_lat = max(0.0, min(lat_hi, t_lat_hi) - max(lat_lo, t_lat_lo))
+        probs[tile] = d_lon * d_lat / area
+    return probs
+
+
 class TestViewingProbabilities:
     def test_fov_contained_in_one_tile(self):
         grid = TileGrid(3, 3)
@@ -147,6 +166,28 @@ class TestViewingProbabilities:
                 row, col = grid.tile_rowcol(t)
                 rotated[grid.tile_index(row, (col + 1) % grid.cols)] = base[t]
             np.testing.assert_allclose(shifted, rotated, atol=1e-9)
+
+    def test_matches_loop_reference_on_random_cases(self):
+        rng = np.random.default_rng(4)
+        for _ in range(400):
+            grid = TileGrid(int(rng.integers(1, 9)), int(rng.integers(1, 13)))
+            vp = Viewpoint(rng.uniform(-180.0, 180.0), rng.uniform(-90.0, 90.0))
+            fov = (rng.uniform(1.0, 360.0), rng.uniform(1.0, 180.0))
+            assert np.array_equal(
+                viewing_probabilities(vp, grid, *fov), _loop_viewing_probabilities(vp, grid, *fov)
+            )
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (5, 1), (3, 3), (6, 12)])
+    @pytest.mark.parametrize(
+        "lon, lat", [(-180.0, 0.0), (180.0, 12.5), (179.9, -40.0), (30.0, 90.0), (-75.0, -90.0)]
+    )
+    @pytest.mark.parametrize("fov", [(100.0, 100.0), (360.0, 180.0), (360.0, 30.0), (45.0, 180.0)])
+    def test_matches_loop_reference_at_edges(self, rows, cols, lon, lat, fov):
+        grid = TileGrid(rows, cols)
+        vp = Viewpoint(lon, lat)
+        assert np.array_equal(
+            viewing_probabilities(vp, grid, *fov), _loop_viewing_probabilities(vp, grid, *fov)
+        )
 
     def test_degenerate_fov_rejected(self):
         with pytest.raises(ParameterError):

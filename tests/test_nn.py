@@ -18,6 +18,7 @@ from tile360.nn import (
     linear_forward,
     load_checkpoint,
     lstm_step,
+    lstm_step_backward,
     LstmCellParams,
     save_checkpoint,
     sigmoid,
@@ -68,16 +69,25 @@ def _make_cell(input_dim, hidden_dim, seed=0, scale=None):
     return cell, store
 
 
+def _gate_blocks(cell):
+    """The fused (w, b) split into per-gate (w, b) pairs, in order i, f, o, g."""
+    hid = cell.hidden_dim
+    return [
+        (cell.w[k * hid : (k + 1) * hid], cell.b[k * hid : (k + 1) * hid]) for k in range(4)
+    ]
+
+
 def _scalar_lstm_oracle(cell, x, h_prev, c_prev):
     """Element-by-element reference implementation of one LSTM step."""
     hid = cell.hidden_dim
+    (w_in, b_in), (w_fg, b_fg), (w_out, b_out), (w_cand, b_cand) = _gate_blocks(cell)
     z = list(x) + list(h_prev)
     h_out, c_out = np.zeros(hid), np.zeros(hid)
     for k in range(hid):
-        a_i = sum(cell.w_i[k, j] * z[j] for j in range(len(z))) + cell.b_i[k]
-        a_f = sum(cell.w_f[k, j] * z[j] for j in range(len(z))) + cell.b_f[k]
-        a_o = sum(cell.w_o[k, j] * z[j] for j in range(len(z))) + cell.b_o[k]
-        a_g = sum(cell.w_g[k, j] * z[j] for j in range(len(z))) + cell.b_g[k]
+        a_i = sum(w_in[k, j] * z[j] for j in range(len(z))) + b_in[k]
+        a_f = sum(w_fg[k, j] * z[j] for j in range(len(z))) + b_fg[k]
+        a_o = sum(w_out[k, j] * z[j] for j in range(len(z))) + b_out[k]
+        a_g = sum(w_cand[k, j] * z[j] for j in range(len(z))) + b_cand[k]
         i = 1.0 / (1.0 + math.exp(-a_i))
         f = 1.0 / (1.0 + math.exp(-a_f))
         o = 1.0 / (1.0 + math.exp(-a_o))
@@ -85,6 +95,33 @@ def _scalar_lstm_oracle(cell, x, h_prev, c_prev):
         c_out[k] = f * c_prev[k] + i * g
         h_out[k] = o * math.tanh(c_out[k])
     return h_out, c_out
+
+
+def _per_gate_lstm_step(cell, x, h_prev, c_prev):
+    """One LSTM step with a separate matmul per gate on row blocks of ``w``."""
+    z = np.concatenate([x, h_prev], axis=-1)
+    i, f, o, g = (z @ w.T + b for w, b in _gate_blocks(cell))
+    c = sigmoid(f) * c_prev + sigmoid(i) * np.tanh(g)
+    return sigmoid(o) * np.tanh(c), c
+
+
+def _masked_sigmoid(x):
+    """Reference logistic function that evaluates each branch on its own mask."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_masked_reference(self):
+        rng = np.random.default_rng(0)
+        edges = [0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320, 36.7, -36.7, 709.0, -745.0, 1e308]
+        for x in [np.array(edges)] + [rng.normal(size=(7, 9)) * s for s in (0.1, 3.0, 800.0)]:
+            assert np.array_equal(sigmoid(x), _masked_sigmoid(x))
+            assert np.array_equal(np.signbit(sigmoid(x)), np.signbit(_masked_sigmoid(x)))
 
 
 class TestLstmStep:
@@ -97,13 +134,14 @@ class TestLstmStep:
 
     def test_saturated_forget_gate_preserves_cell(self):
         cell, store = _make_cell(2, 3, seed=1)
-        cell.b_f[...] = 50.0  # forget gate pinned open
+        cell.b[3:6] = 50.0  # forget gate (second row block) pinned open
         c_prev = np.array([0.5, -0.2, 1.0])
         x = np.array([0.1, -0.3])
         h, c, _ = lstm_step(cell, x, np.zeros(3), c_prev)
         # c = f*c_prev + i*g with f ~ 1
-        i = sigmoid(np.concatenate([x, np.zeros(3)]) @ cell.w_i.T + cell.b_i)
-        g = np.tanh(np.concatenate([x, np.zeros(3)]) @ cell.w_g.T + cell.b_g)
+        z = np.concatenate([x, np.zeros(3)])
+        i = sigmoid(z @ cell.w[0:3].T + cell.b[0:3])
+        g = np.tanh(z @ cell.w[9:12].T + cell.b[9:12])
         np.testing.assert_allclose(c, c_prev + i * g, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -117,6 +155,28 @@ class TestLstmStep:
         np.testing.assert_allclose(h, h_ref, atol=1e-12)
         np.testing.assert_allclose(c, c_ref, atol=1e-12)
 
+    @pytest.mark.parametrize("lead", [(), (1,), (6,)])
+    def test_fused_matches_per_gate_reference(self, lead):
+        cell, _ = _make_cell(3, 4, seed=6)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=lead + (3,))
+        h_prev = rng.normal(size=lead + (4,))
+        c_prev = rng.normal(size=lead + (4,))
+        h, c, _ = lstm_step(cell, x, h_prev, c_prev)
+        h_ref, c_ref = _per_gate_lstm_step(cell, x, h_prev, c_prev)
+        assert np.array_equal(h, h_ref)
+        assert np.array_equal(c, c_ref)
+
+    def test_fused_layout(self):
+        cell, store = _make_cell(2, 3)
+        assert store.names() == ["cell.w", "cell.b"]
+        assert cell.w.shape == (12, 5) and cell.b.shape == (12,)
+        # one draw per array gives the numbers of per-gate draws in gate order
+        rng = np.random.default_rng(0)
+        per_gate = [uniform_init((3, 5), 5, rng) for _ in range(4)]
+        per_gate += [uniform_init((3,), 5, rng) for _ in range(4)]
+        assert np.array_equal(store.to_vector(), np.concatenate([a.ravel() for a in per_gate]))
+
     def test_batched_matches_loop(self):
         cell, _ = _make_cell(2, 4, seed=4)
         rng = np.random.default_rng(5)
@@ -128,6 +188,35 @@ class TestLstmStep:
             h1, c1, _ = lstm_step(cell, xs[b], hs[b], cs[b])
             np.testing.assert_allclose(h_batch[b], h1, atol=1e-12)
             np.testing.assert_allclose(c_batch[b], c1, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_backward_matches_finite_differences(self, lead):
+        cell, store = _make_cell(2, 3, seed=8)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=lead + (2,))
+        h_prev = rng.normal(size=lead + (3,))
+        c_prev = rng.normal(size=lead + (3,))
+        dh = rng.normal(size=lead + (3,))
+        dc = rng.normal(size=lead + (3,))
+        n_params = store.size
+        sizes = np.cumsum([n_params, x.size, h_prev.size])
+
+        def loss_fn(vec):
+            params, xv, hv, cv = np.split(vec, sizes)
+            store.from_vector(params)
+            xv, hv, cv = xv.reshape(x.shape), hv.reshape(h_prev.shape), cv.reshape(c_prev.shape)
+            h, c, cache = lstm_step(cell, xv, hv, cv)
+            grads = store.zeros_like()
+            dx, dh_prev, dc_prev = lstm_step_backward(cell, "cell", cache, dh, dc, grads)
+            assert dx.shape == x.shape
+            assert dh_prev.shape == h_prev.shape and dc_prev.shape == c_prev.shape
+            loss = float(np.sum(h * dh) + np.sum(c * dc))
+            return loss, np.concatenate(
+                [grads.to_vector(), dx.ravel(), dh_prev.ravel(), dc_prev.ravel()]
+            )
+
+        vec = np.concatenate([store.to_vector(), x.ravel(), h_prev.ravel(), c_prev.ravel()])
+        assert finite_diff_check(loss_fn, vec) < 1e-6
 
     def test_shape_error(self):
         cell, _ = _make_cell(2, 3)

@@ -229,6 +229,33 @@ class TestAttend:
         assert np.all(trace.weights >= 0)
 
 
+    def test_batched_matches_per_row(self):
+        rng = np.random.default_rng(4)
+        users = rng.normal(size=(2, 3, 4))
+        cross = rng.normal(size=(2, 3, 5, 4))
+        trace = attend(users, cross)
+        assert trace.stacked.shape == (2, 3, 6, 4)
+        for idx in np.ndindex(2, 3):
+            row = attend(users[idx], cross[idx])
+            assert np.array_equal(trace.stacked[idx], row.stacked)
+            assert np.array_equal(trace.similarities[idx], row.similarities)
+            assert np.array_equal(trace.weights[idx], row.weights)
+            assert np.array_equal(trace.fused[idx], row.fused)
+
+    def test_batched_without_cross_users(self):
+        users = np.array([[1.0, 2.0], [-0.5, 0.25]])
+        trace = attend(users, np.zeros((2, 0, 2)))
+        assert np.array_equal(trace.weights, np.ones((2, 1)))
+        assert np.array_equal(trace.fused, users)
+
+    @pytest.mark.parametrize(
+        "user_shape, cross_shape",
+        [((3,), (2, 4)), ((3,), (3,)), ((2, 3), (3, 2, 3)), ((2, 3), (2, 2, 4))],
+    )
+    def test_mismatched_shapes_rejected(self, user_shape, cross_shape):
+        with pytest.raises(ParameterError):
+            attend(np.ones(user_shape), np.ones(cross_shape))
+
 class TestEncoder:
     def test_zero_parameters_zero_embedding(self):
         net = CrossUserAttentiveNet(hidden=6, seed=0)
